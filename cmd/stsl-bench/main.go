@@ -56,7 +56,7 @@ func main() {
 		policy    = flag.String("policy", "fifo", "queue policies for the --live benchmark, comma-separated: fifo|staleness|fair-rr|sync-rounds")
 		coalesce  = flag.String("coalesce", "", "micro-batch coalescing caps for the --live benchmark, comma-separated (default 1,2,4,8)")
 		workers   = flag.String("workers", "", "data-parallel replica counts for the --live benchmark, comma-separated (default 1)")
-		dtypes    = flag.String("dtype", "", "compute/wire precisions for the --live benchmark, comma-separated: float64|float32 (default float64)")
+		dtypes    = flag.String("dtype", "", "wire precisions for the --live benchmark, comma-separated: float64|float32 (default float64)")
 		jsonOut   = flag.String("json", "", "write the --live grid as a schema-stable JSON report to this path")
 		analysis  = flag.String("analysis", "", "write a human-readable markdown analysis of the bench report to this path (with --live: the fresh grid; otherwise reads the report at -json)")
 		overhead  = flag.Bool("overhead", false, "also measure the telemetry overhead (bare vs instrumented) at the largest client count")

@@ -88,7 +88,7 @@ func main() {
 		resume       = flag.Bool("resume", false, "restore training state from -checkpoint-dir before serving (missing checkpoint = fresh start)")
 		statusEvery  = flag.Duration("status-every", 5*time.Second, "periodic one-line status log interval (0 = off)")
 		adminAddr    = flag.String("admin-addr", "", "admin HTTP listener: /metrics (Prometheus), /statusz (JSON), /trace, /debug/pprof. Serves operational internals — bind loopback (e.g. 127.0.0.1:9090) unless the network is trusted. Empty = off")
-		dtypeName    = flag.String("dtype", "float64", "compute and wire precision: float64|float32 (float32 halves wire bytes via TSL2 frames; must match the end-systems)")
+		dtypeName    = flag.String("dtype", "float64", "wire precision of gradient replies: float64|float32 (float32 halves wire bytes via TSL2 frames; frames describe themselves, so end-systems may differ)")
 		weights      = flag.String("weights", "", "path to write learned server weights (optional)")
 		checksum     = flag.Bool("checksum", false, "send CRC32C-checksummed wire frames (self-describing — plain peers interoperate; corrupted inbound frames are detected either way)")
 		aggregate    = flag.String("aggregate", "average", "replica aggregation rule at sync barriers: average|trimmed|clipped (robust rules bound what poisoned replicas can do; only with -workers > 1)")
@@ -127,7 +127,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	upper.SetDType(dtype)
 	coreSrv.WireDType = dtype
 	stragglerTimeout := *straggler
 	if *stragglerAut {
@@ -177,7 +176,6 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			up.SetDType(dtype)
 			replica.WireDType = dtype
 			return replica, nil
 		},

@@ -34,7 +34,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "seed")
 		farLatency = flag.Duration("far-latency", 0, "latency of client 0 (0 = same as others)")
 		latency    = flag.Duration("latency", time.Millisecond, "latency of the other clients")
-		dtype      = flag.String("dtype", "float64", "compute and wire precision: float64|float32")
+		dtype      = flag.String("dtype", "float64", "wire precision: float64|float32")
 	)
 	flag.Parse()
 

@@ -1615,8 +1615,10 @@ func (s *Server) Core() *core.Server { return s.core }
 func (s *Server) Replicas() []*core.Server { return s.replicas }
 
 // FinalLoss reports the pool-wide window-averaged training loss: the
-// average over the last N served batches regardless of which replica
-// ran them — the same measurement the virtual-time simulation reports.
+// average over the last complete window of N served batches, regardless
+// of which replica ran them. A trailing partial window is not counted,
+// so a run of 76 batches at N=10 reports batches 61–70. It is the same
+// measurement the virtual-time simulation reports.
 // With one worker it equals the primary's Losses.Last().
 func (s *Server) FinalLoss() float64 {
 	s.mu.Lock()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -416,6 +418,97 @@ func TestSimulationDeterminism(t *testing.T) {
 	for i := range pa {
 		if !pa[i].Value.Equal(pb[i].Value, 0) {
 			t.Fatalf("parameter %s differs between identical runs", pa[i].Name)
+		}
+	}
+}
+
+// TestWireDTypeIsEncodingOnly pins the precision contract: Config.DType
+// selects the wire encoding and nothing else. Two same-seed simulated
+// deployments, one shipping float32 frames, train to bitwise-identical
+// parameters because compute is float64 either way; the float32
+// deployment tags its activation and gradient payloads Float32, and
+// those encode to shorter (TSL2) messages than the float64 (TSL1) ones.
+func TestWireDTypeIsEncodingOnly(t *testing.T) {
+	run := func(dtype string) *Deployment {
+		ds := smallData(t, 64, 21)
+		shards, err := data.PartitionIID(ds, 2, mathx.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := NewDeployment(Config{
+			Model: smallModel(), Cut: 1, Clients: 2, Seed: 17,
+			BatchSize: 8, LR: 0.05, DType: dtype,
+		}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := NewSimulation(dep, SimConfig{Paths: constPaths(2, 5*time.Millisecond), MaxStepsPerClient: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	d64, d32 := run(""), run("float32")
+	if d64.Server.Steps() == 0 || d64.Server.Steps() != d32.Server.Steps() {
+		t.Fatalf("server steps: float64 %d, float32 %d", d64.Server.Steps(), d32.Server.Steps())
+	}
+	params := func(d *Deployment) []*nn.Param {
+		var ps []*nn.Param
+		for _, c := range d.Clients {
+			ps = append(ps, c.Stack.Params()...)
+		}
+		return append(ps, d.Server.Stack.Params()...)
+	}
+	p64, p32 := params(d64), params(d32)
+	for i := range p64 {
+		a, b := p64[i].Value.Data(), p32[i].Value.Data()
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				t.Fatalf("parameter %s[%d]: float64 run %v, float32-wire run %v", p64[i].Name, j, a[j], b[j])
+			}
+		}
+	}
+
+	// One more exchange on each deployment: the payloads carry the wire
+	// tag, and the tag alone decides the encoded size.
+	exchange := func(d *Deployment) (act, grad *transport.Message) {
+		act, err := d.Clients[0].ProduceBatch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Server.Enqueue(act, 0); err != nil {
+			t.Fatal(err)
+		}
+		grad, ok, err := d.Server.ProcessNext(0)
+		if err != nil || !ok {
+			t.Fatalf("ProcessNext: ok=%v err=%v", ok, err)
+		}
+		return act, grad
+	}
+	encodedLen := func(m *transport.Message) int {
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	act64, grad64 := exchange(d64)
+	act32, grad32 := exchange(d32)
+	for _, c := range []struct {
+		name     string
+		m64, m32 *transport.Message
+	}{{"activation", act64, act32}, {"gradient", grad64, grad32}} {
+		if got := c.m64.Payload.DType(); got != tensor.Float64 {
+			t.Errorf("float64 deployment %s dtype %v", c.name, got)
+		}
+		if got := c.m32.Payload.DType(); got != tensor.Float32 {
+			t.Errorf("float32 deployment %s dtype %v", c.name, got)
+		}
+		if n64, n32 := encodedLen(c.m64), encodedLen(c.m32); n32 >= n64 {
+			t.Errorf("%s encodes to %d bytes at float32, %d at float64; want shorter", c.name, n32, n64)
 		}
 	}
 }

@@ -49,11 +49,11 @@ type Config struct {
 	// cluster.Config.BatchCoalesce. With sync-rounds the gated round is
 	// atomic and may exceed this cap.
 	BatchCoalesce int
-	// DType selects the deployment's precision: "" or "float64" keeps
-	// the full-precision kernels and TSL1 wire frames; "float32" runs
-	// every client and server matmul in single precision and ships
-	// activations and gradients as TSL2 float32 frames (half the wire
-	// bytes). Both runtimes inherit it, so sim and live stay comparable.
+	// DType selects the deployment's wire precision: "" or "float64"
+	// ships activations and gradients as TSL1 float64 frames; "float32"
+	// ships them as TSL2 float32 frames (half the wire bytes). Compute
+	// is float64 either way. Both runtimes inherit it, so sim and live
+	// stay comparable.
 	DType string
 }
 
@@ -117,9 +117,8 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One config field switches the whole deployment: compute precision
-	// on every stack, wire precision on every payload either direction.
-	serverStack.SetDType(dtype)
+	// One config field switches the wire precision of every payload,
+	// either direction.
 	server.WireDType = dtype
 
 	seedGen := mathx.NewRNG(cfg.Seed ^ 0xc2b2ae3d27d4eb4f)
@@ -158,7 +157,6 @@ func NewDeployment(cfg Config, shards []*data.Dataset) (*Deployment, error) {
 			}
 			es.QuantizeBits = cfg.QuantizeBits
 		}
-		lower.SetDType(dtype)
 		es.WireDType = dtype
 		clients[i] = es
 	}
@@ -198,13 +196,12 @@ func (d *Deployment) NewServerReplica() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replicas inherit the deployment precision; cfg.DType was validated
-	// when the deployment was built.
+	// Replicas inherit the deployment's wire precision; cfg.DType was
+	// validated when the deployment was built.
 	dtype, err := tensor.ParseDType(cfg.DType)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	serverStack.SetDType(dtype)
 	replica.WireDType = dtype
 	return replica, nil
 }

@@ -111,11 +111,11 @@ func writeWorkerScaling(b *strings.Builder, r *BenchReport) {
 	b.WriteString("\n")
 }
 
-// writeDTypeComparison compares cells that differ only in precision:
-// the float32 cell's throughput against the float64 cell with the same
-// (clients, policy, coalesce, workers, telemetry) configuration, plus
-// the final-loss gap — single precision should buy wire bytes and
-// matmul time without moving the loss.
+// writeDTypeComparison compares cells that differ only in wire
+// precision: the float32-frame cell's throughput against the
+// float64-frame cell with the same (clients, policy, coalesce, workers,
+// telemetry) configuration, plus the final-loss gap — float32 frames
+// should buy wire bytes without moving the loss.
 func writeDTypeComparison(b *strings.Builder, r *BenchReport) {
 	type groupKey struct {
 		clients, coalesce, workers int
@@ -133,7 +133,7 @@ func writeDTypeComparison(b *strings.Builder, r *BenchReport) {
 		groups[k][rowDType(row)] = row
 	}
 
-	b.WriteString("## Precision (float32 vs float64)\n\n")
+	b.WriteString("## Wire precision (float32 vs float64 frames)\n\n")
 	wrote := false
 	for _, k := range order {
 		f64, ok64 := groups[k]["float64"]

@@ -60,7 +60,7 @@ func TestAnalyzeBenchDTypes(t *testing.T) {
 	}
 	md := AnalyzeBench(r)
 	for _, want := range []string{
-		"## Precision (float32 vs float64)",
+		"## Wire precision (float32 vs float64 frames)",
 		// 125/100 = 1.25x speedup, loss gap 1.21-1.20 = +0.01.
 		"| 8 | fifo | 4 | 1 | 100.0 | 125.0 | 1.25x | +0.0100 |",
 	} {

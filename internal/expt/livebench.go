@@ -37,7 +37,7 @@ type LiveBenchConfig struct {
 	// per cell). Empty defaults to {1} — the classic single-replica
 	// server, which keeps reports comparable with pre-workers baselines.
 	Workers []int
-	// DTypes spans the precision axis (core.Config.DType per cell:
+	// DTypes spans the wire-precision axis (core.Config.DType per cell:
 	// "float64" or "float32"). Empty defaults to {"float64"}, which keeps
 	// reports comparable with pre-dtype baselines.
 	DTypes []string
@@ -68,7 +68,7 @@ type BenchRow struct {
 	// reports written before the axis existed and means 1 — key()
 	// normalises, so old baselines still match their single-worker cells.
 	Workers int `json:"workers,omitempty"`
-	// DType is the cell's compute/wire precision. Absent/"" in reports
+	// DType is the cell's wire precision. Absent/"" in reports
 	// written before the axis existed and means float64 — key()
 	// normalises, so old baselines still match their float64 cells.
 	DType       string  `json:"dtype,omitempty"`
@@ -198,7 +198,7 @@ func RunLiveBench(ctx context.Context, cfg LiveBenchConfig) (*BenchReport, error
 		policy, b := cfg.Policies[0], cfg.Coalesce[len(cfg.Coalesce)-1]
 		// The overhead pair stays on the first (baseline) worker count
 		// and precision — the tax being measured is telemetry's, not the
-		// sync barrier's or the float32 kernels'.
+		// sync barrier's or the float32 codec's.
 		w := cfg.Workers[0]
 		dt := cfg.DTypes[0]
 		// The overhead pair runs 4× the grid's step budget (a longer
