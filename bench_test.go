@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -237,7 +238,9 @@ func BenchmarkFedAvgBaseline(b *testing.B) {
 // --- ablation benches (DESIGN.md §6) ---
 
 // BenchmarkConvIm2Col vs BenchmarkConvDirect quantify the im2col design
-// choice for the paper's first conv layer geometry (3→16 ch, 32×32).
+// choice for the paper's first conv layer geometry (3→16 ch, 32×32):
+// the lowering Conv2D.Forward ships (its inference path, like the
+// inference-only direct loops) against naive nested loops.
 func BenchmarkConvIm2Col(b *testing.B) {
 	r := mathx.NewRNG(1)
 	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: 3, Out: 16, KernelH: 3, KernelW: 3, SamePad: true}, r)
@@ -276,22 +279,28 @@ func BenchmarkTensorMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulSerialVsParallel ablates the goroutine-parallel matmul
-// at a conv-sized workload (im2col matrix of the paper's conv1 layer).
-func BenchmarkMatMulSerialVsParallel(b *testing.B) {
+// BenchmarkConvSerialVsParallel ablates the conv lowering's fan-out: one
+// training step (forward + backward) of the paper's first conv layer
+// geometry at batch 8, with GOMAXPROCS 1 against the default.
+func BenchmarkConvSerialVsParallel(b *testing.B) {
 	r := mathx.NewRNG(1)
-	a := tensor.Randn(r, 1, 8*32*32, 27) // batch-8 im2col for conv1
-	w := tensor.Randn(r, 1, 16, 27)      // 16 filters
+	conv, err := nn.NewConv2D(nn.Conv2DConfig{Name: "c", In: 3, Out: 16, KernelH: 3, KernelW: 3, SamePad: true}, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.Randn(r, 1, 8, 3, 32, 32)
+	grad := tensor.Randn(r, 1, 8, 16, 32, 32)
+	step := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			conv.Forward(x, true)
+			conv.Backward(grad)
+		}
+	}
 	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransB(a, w)
-		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		step(b)
 	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransBP(a, w)
-		}
-	})
+	b.Run("parallel", step)
 }
 
 // BenchmarkQueuePolicies measures scheduling overhead per push+pop for

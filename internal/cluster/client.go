@@ -105,10 +105,12 @@ type ClientResult struct {
 	// wait window or a deadline-shed notice — not backpressure bounces,
 	// which Rejected counts.
 	Resends int
-	// JoinAttempts records the protocol timestamp of every join attempt
-	// (first contact and post-refusal retries). A cohort refused together
-	// should NOT retry together — the join-storm chaos test asserts the
-	// decorrelated jitter spreads these out.
+	// JoinAttempts records the protocol timestamp every join attempt was
+	// due at: first contact when it is sent, a retry at the moment its
+	// backoff scheduled it (not when the sleeping goroutine happened to
+	// wake). A cohort refused together should NOT retry together — the
+	// join-storm chaos test asserts the decorrelated jitter spreads these
+	// out.
 	JoinAttempts []time.Duration
 	// CorruptFrames counts inbound frames this client's receive pump
 	// rejected on a CRC32C mismatch (and recovered from by resending).
@@ -363,16 +365,22 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 	}
 
 	// hello performs the join (first contact) or resume (token in hand)
-	// handshake on a fresh carrier.
-	hello := func(p *pump) error {
+	// handshake on a fresh carrier. due is the moment a retry's backoff
+	// scheduled it for, or negative on first contact.
+	hello := func(p *pump, due time.Duration) error {
 		note, seq := core.JoinNote, 0
 		if token != 0 {
 			note, seq = core.ResumeNote, token
 		}
 		if note == core.JoinNote {
-			// Stamped before the send so the join-storm test can assert
-			// refused cohorts retry desynchronised, not in lockstep.
-			res.JoinAttempts = append(res.JoinAttempts, now())
+			// Recorded so the join-storm test can assert refused cohorts
+			// retry desynchronised, not in lockstep. A retry records its
+			// scheduled moment: a host that starves the process wakes
+			// every sleeper at once, which says nothing of the schedule.
+			if due < 0 {
+				due = now()
+			}
+			res.JoinAttempts = append(res.JoinAttempts, due)
 		}
 		if err := send(p, &transport.Message{
 			Type: transport.MsgControl, ClientID: es.ID, Note: note, Seq: seq, SentAt: now(),
@@ -411,29 +419,31 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 	// RetryAfter plus a decorrelated-jitter draw (additive, so a refused
 	// cohort that shares a hint still spreads out), stretched to the
 	// breaker's cooldown when repeated refusals have tripped it, and
-	// charged against the retry budget.
-	refusalWait := func(ref refusedError) error {
+	// charged against the retry budget. It returns the moment the retry
+	// was scheduled for.
+	refusalWait := func(ref refusedError) (time.Duration, error) {
 		res.Refused++
 		breaker.Failure(now(), ref.retryAfter)
 		if err := spendRetry(); err != nil {
-			return fmt.Errorf("%w (last refusal: %s)", err, ref.note)
+			return 0, fmt.Errorf("%w (last refusal: %s)", err, ref.note)
 		}
+		n := now()
 		wait := ref.retryAfter + joinJitter.Next()
-		if n := now(); breaker.OpenUntil() > n+wait {
+		if breaker.OpenUntil() > n+wait {
 			wait = breaker.OpenUntil() - n
 		}
 		if err := sleep(wait); err != nil {
-			return err
+			return 0, err
 		}
 		breaker.Allow(now()) // open → half-open: the next hello is the probe
-		return nil
+		return n + wait, nil
 	}
 
 	// redial replaces a carrier the server refused (it closes the
 	// connection behind a refusal) with a fresh one and retries the
 	// handshake. Unlike reconnect this does not charge MaxReconnects:
 	// the server is alive and asked us to come back.
-	redial := func(dead *pump) error {
+	redial := func(dead *pump, due time.Duration) error {
 		dead.stop()
 		c, err := cfg.Dial()
 		if err != nil {
@@ -441,7 +451,7 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 		}
 		np := startPump(c, &corruptFrames)
 		setPump(np)
-		return hello(np)
+		return hello(np, due)
 	}
 
 	// reconnect retires the dead carrier and redials until a handshake
@@ -457,7 +467,9 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 			if err := spendRetry(); err != nil {
 				return err
 			}
-			if err := sleep(joinJitter.Next()); err != nil {
+			wait := joinJitter.Next()
+			due := now() + wait
+			if err := sleep(wait); err != nil {
 				return err
 			}
 			c, err := cfg.Dial()
@@ -467,7 +479,7 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 			}
 			np := startPump(c, &corruptFrames)
 			setPump(np)
-			if err := hello(np); err != nil {
+			if err := hello(np, due); err != nil {
 				var ref refusedError
 				if errors.As(err, &ref) {
 					// The server answered and said no. A terminal refusal
@@ -506,10 +518,11 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 					// surface the typed refusal to the caller.
 					return err
 				}
-				if werr := refusalWait(ref); werr != nil {
+				due, werr := refusalWait(ref)
+				if werr != nil {
 					return werr
 				}
-				if err = redial(p); err == nil {
+				if err = redial(p, due); err == nil {
 					return nil
 				}
 				continue
@@ -532,7 +545,7 @@ func RunClient(ctx context.Context, es *core.EndSystem, conn transport.Conn, cfg
 	// after a complete fresh handshake, so it must not be followed by
 	// another hello: the server ignores handshake notes on an established
 	// session and the client would hang awaiting a second welcome.
-	if err := hello(p); err != nil {
+	if err := hello(p, -1); err != nil {
 		if err = recoverConn(err); err != nil {
 			return nil, err
 		}

@@ -129,7 +129,12 @@ func (s *Server) syncIfDue() {
 	}
 	doCkpt := p.doCkpt && s.cfg.Checkpoint != nil
 	p.doCkpt = false
-	p.ckptDue = 0
+	if doCkpt {
+		// Only a checkpointing barrier restarts the countdown: a plain
+		// sync (SyncEvery below CheckpointEvery) must not postpone the
+		// next periodic checkpoint.
+		p.ckptDue = 0
+	}
 	p.mu.Unlock()
 
 	// Exclusive model access: every other live worker is parked above.

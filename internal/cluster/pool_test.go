@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,6 +291,34 @@ func TestPoolCheckpointAcrossWorkerCounts(t *testing.T) {
 	}
 	if res2.ServerSteps != 8 {
 		t.Fatalf("resumed pool processed %d batches, want 8", res2.ServerSteps)
+	}
+}
+
+// TestPoolPeriodicCheckpointCadence pins that the sync barriers between
+// two checkpoints do not restart the checkpoint countdown. With SyncEvery
+// 4 below CheckpointEvery 10, a 24-step run on 2 workers must write a
+// periodic checkpoint after about 10 and about 20 steps (the other worker
+// may finish one more step while the barrier forms, so each one takes 10
+// or 11), plus the final one at shutdown.
+func TestPoolPeriodicCheckpointCadence(t *testing.T) {
+	var writes atomic.Int32
+	dep := buildDeployment(t, 2, "fifo")
+	res, err := Run(context.Background(), dep, RunnerConfig{
+		StepsPerClient: 12,
+		GradTimeout:    20 * time.Second,
+		Cluster: Config{
+			Workers: 2, SyncEvery: 4, CheckpointEvery: 10,
+			Checkpoint: func([]*core.Server) error { writes.Add(1); return nil },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServerSteps != 24 {
+		t.Fatalf("pool served %d steps, want 24", res.ServerSteps)
+	}
+	if got := writes.Load(); got != 3 {
+		t.Fatalf("%d checkpoint writes, want 3: periodic ones after ~10 and ~20 steps, then the final one", got)
 	}
 }
 

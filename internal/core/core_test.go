@@ -422,6 +422,29 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 }
 
+// TestPayloadBytesHonoursWireDType: on a bandwidth-limited link the
+// simulation charges a float32 payload 4 bytes per element, half of what
+// the same payload costs as float64, so float32 deployments get their
+// bandwidth credit in virtual time.
+func TestPayloadBytesHonoursWireDType(t *testing.T) {
+	act := tensor.New(8, 4, 4, 4)
+	m64 := &transport.Message{Type: transport.MsgActivation, Payload: act.Clone()}
+	m32 := &transport.Message{Type: transport.MsgActivation, Payload: act.Clone().SetDType(tensor.Float32)}
+	b64, b32 := payloadBytes(m64), payloadBytes(m32)
+	if b64-b32 != 4*act.Size() {
+		t.Fatalf("float64 payload %d bytes, float32 %d: want a difference of %d (4 bytes per element)", b64, b32, 4*act.Size())
+	}
+	const bw = 1 << 20 // bytes per second
+	link, err := simnet.NewLink(simnet.Constant{}, bw, mathx.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d64, d32 := link.Delay(b64), link.Delay(b32)
+	if want := time.Duration(float64(4*act.Size()) / bw * float64(time.Second)); d64-d32 < want-time.Microsecond || d64-d32 > want+time.Microsecond {
+		t.Fatalf("float32 payload arrives %v sooner, want %v", d64-d32, want)
+	}
+}
+
 // TestWireDTypeIsEncodingOnly pins the precision contract: Config.DType
 // selects the wire encoding and nothing else. Two same-seed simulated
 // deployments, one shipping float32 frames, train to bitwise-identical

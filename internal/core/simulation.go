@@ -184,13 +184,14 @@ func (s *Simulation) batchCoalesce() int {
 }
 
 // payloadBytes estimates a message's wire size for bandwidth delay,
-// honouring a sender-provided compressed size.
+// honouring a sender-provided compressed size and the payload's wire
+// dtype (a float32 frame carries 4 bytes per element).
 func payloadBytes(m *transport.Message) int {
 	n := 64 // headers
 	if m.WireSize > 0 {
 		n += m.WireSize
 	} else if m.Payload != nil {
-		n += 8 * m.Payload.Size()
+		n += m.Payload.DType().Size() * m.Payload.Size()
 	}
 	n += 4 * len(m.Labels)
 	return n

@@ -140,21 +140,37 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 }
 
 // TestEvalForwardDoesNotArmBackward verifies inference-mode forwards do
-// not leave stale caches that a later Backward could silently consume.
+// not leave stale caches that a later Backward could silently consume,
+// even right after a training forward: conv must not fall back on its
+// training workspace.
 func TestEvalForwardDoesNotArmBackward(t *testing.T) {
 	r := mathx.NewRNG(6)
 	dense, err := NewDense("d", 4, 2, nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Randn(r, 1, 2, 4)
-	dense.Forward(x, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Backward after eval Forward did not panic")
+	conv, err := NewConv2D(Conv2DConfig{Name: "c", In: 2, Out: 3, KernelH: 3, KernelW: 3, SamePad: true}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		layer Layer
+		x     *tensor.Tensor
+	}{
+		{dense, tensor.Randn(r, 1, 2, 4)},
+		{conv, tensor.Randn(r, 1, 2, 2, 5, 5)},
+	} {
+		tc.layer.Forward(tc.x, true)
+		y := tc.layer.Forward(tc.x, false)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			tc.layer.Backward(y)
+			return false
+		}()
+		if !panicked {
+			t.Errorf("%s: Backward after eval Forward did not panic", tc.layer.Name())
 		}
-	}()
-	dense.Backward(tensor.New(2, 2))
+	}
 }
 
 // TestSequentialOfSequentials checks that Sequential composes as a Layer.

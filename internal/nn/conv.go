@@ -8,9 +8,14 @@ import (
 )
 
 // Conv2D is a 2-D convolution layer over NCHW input, lowered to matrix
-// multiplication with im2col. Weights have shape (outChannels,
-// inChannels*kH*kW) — each output channel's kernel flattened to one row —
-// and the bias has shape (outChannels).
+// multiplication with im2col (tensor.ConvWorkspace). Weights have shape
+// (outChannels, inChannels*kH*kW) — each output channel's kernel
+// flattened to one row — and the bias has shape (outChannels).
+//
+// The layer owns its training workspace: the lowered input a training
+// Forward keeps for Backward and the buffers both passes reuse, so a
+// steady-state training step allocates only the tensors it returns.
+// Inference forwards run in bounded chunks and keep nothing.
 type Conv2D struct {
 	name             string
 	inC, outC        int
@@ -19,10 +24,8 @@ type Conv2D struct {
 	padH, padW       int
 	weight, bias     *Param
 	params           []*Param
-	// Forward cache for Backward.
-	cachedCols *tensor.Tensor
-	cachedN    int
-	cachedGeom tensor.ConvGeom
+	ws               tensor.ConvWorkspace
+	armed            bool // a training Forward awaits its Backward
 }
 
 // Conv2DConfig collects the constructor arguments for NewConv2D. Zero
@@ -121,93 +124,27 @@ func (c *Conv2D) geom(h, w int) (tensor.ConvGeom, error) {
 
 // Forward implements Layer. Input must be (N, inC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	shape := x.Shape()
-	if len(shape) != 4 || shape[1] != c.inC {
-		panic(shapeErr(c.name, fmt.Sprintf("(N,%d,H,W)", c.inC), shape))
+	if x.Dims() != 4 || x.Dim(1) != c.inC {
+		panic(shapeErr(c.name, fmt.Sprintf("(N,%d,H,W)", c.inC), x.Shape()))
 	}
-	n := shape[0]
-	g, err := c.geom(shape[2], shape[3])
+	g, err := c.geom(x.Dim(2), x.Dim(3))
 	if err != nil {
 		panic(err)
 	}
-	cols := tensor.Im2Col(x, g) // (N*oh*ow, inC*kh*kw)
-	// (N*oh*ow, outC) = cols · Wᵀ. The parallel kernel is bitwise equal
-	// to the serial one, so determinism guarantees are unaffected.
-	mat := tensor.MatMulTransBP(cols, c.weight.Value)
-	mat.AddRowVector(c.bias.Value)
-
-	if train {
-		c.cachedCols = cols
-		c.cachedN = n
-		c.cachedGeom = g
-	} else {
-		c.cachedCols = nil
+	c.armed = train
+	if !train {
+		return tensor.ConvForward(x, c.weight.Value, c.bias.Value, g)
 	}
-	return nhwcMatToNCHW(mat, n, c.outC, g.OutHeight(), g.OutWidth())
+	return c.ws.Forward(x, c.weight.Value, c.bias.Value, g)
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.cachedCols == nil {
+	if !c.armed {
 		panic(fmt.Sprintf("nn: conv %s Backward without training Forward", c.name))
 	}
-	g := c.cachedGeom
-	n := c.cachedN
-	oh, ow := g.OutHeight(), g.OutWidth()
-	gm := grad.Shape()
-	if len(gm) != 4 || gm[0] != n || gm[1] != c.outC || gm[2] != oh || gm[3] != ow {
-		panic(shapeErr(c.name, fmt.Sprintf("grad (N,%d,%d,%d)", c.outC, oh, ow), gm))
-	}
-	dmat := nchwToNHWCMat(grad) // (N*oh*ow, outC)
-	// dW (outC, K) += dmatᵀ · cols
-	c.weight.Grad.AddInPlace(tensor.MatMulTransA(dmat, c.cachedCols))
-	// db += column sums of dmat
-	c.bias.Grad.AddInPlace(dmat.SumRows())
-	// dcols (R, K) = dmat · W
-	dcols := tensor.MatMul(dmat, c.weight.Value)
-	dx := tensor.Col2Im(dcols, n, g)
-	c.cachedCols = nil
-	return dx
-}
-
-// nhwcMatToNCHW repacks an (N*H*W, C) matrix whose rows are ordered
-// (n, y, x) into an (N, C, H, W) tensor.
-func nhwcMatToNCHW(mat *tensor.Tensor, n, cCh, h, w int) *tensor.Tensor {
-	out := tensor.New(n, cCh, h, w)
-	src := mat.Data()
-	dst := out.Data()
-	hw := h * w
-	for img := 0; img < n; img++ {
-		for pos := 0; pos < hw; pos++ {
-			row := src[(img*hw+pos)*cCh:][:cCh]
-			base := img * cCh * hw
-			for ch, v := range row {
-				dst[base+ch*hw+pos] = v
-			}
-		}
-	}
-	return out
-}
-
-// nchwToNHWCMat is the inverse repack of nhwcMatToNCHW: (N, C, H, W) →
-// (N*H*W, C).
-func nchwToNHWCMat(t *tensor.Tensor) *tensor.Tensor {
-	s := t.Shape()
-	n, cCh, h, w := s[0], s[1], s[2], s[3]
-	hw := h * w
-	out := tensor.New(n*hw, cCh)
-	src := t.Data()
-	dst := out.Data()
-	for img := 0; img < n; img++ {
-		base := img * cCh * hw
-		for ch := 0; ch < cCh; ch++ {
-			plane := src[base+ch*hw:][:hw]
-			for pos, v := range plane {
-				dst[(img*hw+pos)*cCh+ch] = v
-			}
-		}
-	}
-	return out
+	c.armed = false
+	return c.ws.Backward(grad, c.weight.Value, c.weight.Grad, c.bias.Grad)
 }
 
 var _ Layer = (*Conv2D)(nil)

@@ -81,15 +81,25 @@ func TestConv2DGradients(t *testing.T) {
 	}
 }
 
+// TestConv2DStridedGradients gradchecks the lowering over strided,
+// unpadded and non-square kernels.
 func TestConv2DStridedGradients(t *testing.T) {
 	r := mathx.NewRNG(4)
-	conv, err := NewConv2D(Conv2DConfig{Name: "c", In: 1, Out: 2, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(r, 1, 2, 1, 6, 6)
-	if _, err := CheckLayerGradients(conv, x, 1e-5, 1e-5); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Conv2DConfig{
+		{Name: "stride2-2x2", In: 1, Out: 2, KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2},
+		{Name: "stride2-pad1", In: 2, Out: 3, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+		{Name: "valid-2x3", In: 2, Out: 3, KernelH: 2, KernelW: 3},
+		{Name: "mixed-stride-3x1", In: 1, Out: 2, KernelH: 3, KernelW: 1, StrideH: 1, StrideW: 2, PadW: 1},
+		{Name: "stride2-1x2", In: 3, Out: 1, KernelH: 1, KernelW: 2, StrideH: 2, StrideW: 1},
+	} {
+		conv, err := NewConv2D(cfg, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.Randn(r, 1, 2, cfg.In, 6, 5)
+		if _, err := CheckLayerGradients(conv, x, 1e-5, 1e-5); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
 	}
 }
 

@@ -3,86 +3,128 @@ package tensor
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// parallelThreshold is the minimum number of multiply-adds before MatMulP
-// fans work out to goroutines; below it the serial kernel wins.
+// parallelThreshold is the minimum amount of work (multiply-adds, or
+// elements copied) before a kernel fans out to goroutines; below it the
+// serial path wins.
 const parallelThreshold = 1 << 18
 
-// MatMulP returns the matrix product of two rank-2 tensors like MatMul,
-// but splits the output rows across GOMAXPROCS goroutines for large
-// operands. Each worker writes a disjoint row range, so the result is
-// bitwise identical to the serial kernel regardless of scheduling.
-func MatMulP(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		// Validate before reading shape[1]: a rank-0/1 operand must reach
-		// the serial kernel's descriptive panic, not index out of range.
-		return MatMul(a, b)
-	}
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if k != b.shape[0] || m*k*n < parallelThreshold {
-		// Delegate to the serial kernel: its validation panics for the
-		// mismatch, its tighter loop for the small case.
-		return MatMul(a, b)
-	}
-	out := New(m, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Same range kernel (and same full-size dispatch decision) as
-			// the serial path, so results match it bitwise.
-			matMulRange(a.data, b.data, out.data, m, k, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+// task is one parallel region: run processes the units [lo,hi) of the
+// region's work and must write only the outputs those units own.
+type task interface {
+	run(lo, hi int)
 }
 
-// MatMulTransBP is the parallel variant of MatMulTransB (a·bᵀ), used by
-// the convolution forward pass where the im2col matrix can be very tall.
-// Output rows are partitioned across workers; results are bitwise equal
-// to the serial kernel.
-func MatMulTransBP(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		// Same validation-first ordering as MatMulP.
-		return MatMulTransB(a, b)
-	}
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	if k != b.shape[1] || m*k*n < parallelThreshold {
-		return MatMulTransB(a, b)
-	}
-	out := New(m, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m / workers
-		hi := (w + 1) * m / workers
-		if lo == hi {
-			continue
+// region is the shared state of one fan-out: the ranges not yet
+// claimed and the helpers still running. A task that fans out owns one
+// region and reuses it; regions must not overlap in time.
+type region struct {
+	wg                   sync.WaitGroup
+	next                 atomic.Int32
+	units, align, chunks int
+	pieces               int
+}
+
+// bound returns the first unit of piece i.
+func (r *region) bound(i int) int {
+	return min(r.units, r.align*(i*r.chunks/r.pieces))
+}
+
+// drain runs pieces of t until none is left unclaimed.
+func (r *region) drain(t task) {
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.pieces {
+			return
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Shared range kernel — see MatMulP.
-			matMulTransBRange(a.data, b.data, out.data, m, k, n, lo, hi)
-		}(lo, hi)
+		t.run(r.bound(i), r.bound(i+1))
 	}
-	wg.Wait()
-	return out
+}
+
+// part hands a region to a helper goroutine.
+type part struct {
+	t task
+	r *region
+}
+
+var (
+	// active counts the goroutines inside fan-out regions: every caller
+	// while its region runs, plus every borrowed helper. A region borrows
+	// a helper only while active is below GOMAXPROCS, so concurrent
+	// regions (say, the replicas of a worker pool) share the cores
+	// instead of each claiming all of them. It is package-wide because
+	// the cores are: no single caller sees the others.
+	active atomic.Int32
+	// parts carries regions to the helpers started for them. Each helper
+	// is spawned for one region and exits when the region has no piece
+	// left, so no goroutine outlives its region; passing the region
+	// through a channel instead of a closure keeps the spawn
+	// allocation-free. At most cap(parts) helpers are borrowed at once
+	// (see fanOut's limit), so a send never waits.
+	parts = make(chan part, 64)
+)
+
+// piecesPerWorker is how many pieces a region is cut into per
+// participating goroutine. Pieces are claimed dynamically, so a helper
+// that starts late (it has to be woken) takes fewer of them instead of
+// holding the whole region back.
+const piecesPerWorker = 4
+
+// fanOut runs t over units [0,units), cut into contiguous pieces whose
+// boundaries are multiples of align. The caller works through the
+// pieces itself, joined by helper goroutines borrowed from idle cores.
+// When work (in multiply-adds) is below parallelThreshold, or no core is
+// idle, t runs inline as one range. fanOut returns after every piece
+// has finished.
+//
+// A task's result must not depend on how its units are split: every
+// output element is written by exactly one unit, in an order fixed by
+// the problem alone. The kernels in this package hold to that, which is
+// what keeps every parallel result bitwise equal to the serial one at
+// any GOMAXPROCS.
+func fanOut(t task, r *region, units, align, work int) {
+	chunks := (units + align - 1) / align
+	if work < parallelThreshold || chunks < 2 {
+		t.run(0, units)
+		return
+	}
+	limit := int32(min(runtime.GOMAXPROCS(0), cap(parts)+1))
+	active.Add(1)
+	n := 1
+	for n < chunks {
+		a := active.Load()
+		if a >= limit {
+			break
+		}
+		if active.CompareAndSwap(a, a+1) {
+			n++
+		}
+	}
+	if n == 1 {
+		active.Add(-1)
+		t.run(0, units)
+		return
+	}
+	r.units, r.align, r.chunks = units, align, chunks
+	r.pieces = min(chunks, piecesPerWorker*n)
+	r.next.Store(0)
+	r.wg.Add(n - 1)
+	for p := 1; p < n; p++ {
+		go runPart()
+		parts <- part{t: t, r: r}
+	}
+	r.drain(t)
+	r.wg.Wait()
+	active.Add(-1)
+}
+
+// runPart is the body of one borrowed helper: work through a region's
+// pieces, give the core back, exit.
+func runPart() {
+	p := <-parts
+	p.r.drain(p.t)
+	active.Add(-1)
+	p.r.wg.Done()
 }

@@ -1,7 +1,7 @@
 // Package tensor implements a small dense N-dimensional array of float64
 // values with the operations required to train convolutional neural
 // networks: elementwise arithmetic, matrix multiplication, transposition,
-// padding, and the im2col/col2im transforms that turn convolution into
+// padding, and the batch-wide im2col lowering that turns convolution into
 // matrix multiplication.
 //
 // Tensors are row-major and own their backing slice. Operations either

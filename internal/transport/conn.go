@@ -33,10 +33,13 @@ type chanConn struct {
 	// corrupt emulation) and tests can observe the configured framing.
 	checksum atomic.Bool
 
-	mu       sync.Mutex
-	closed   bool
-	closedCh chan struct{} // closed by Close; unblocks local Send/Recv
-	closeOut func()
+	// mu is held shared by every Send for its whole duration and taken
+	// exclusively by Close before it closes the outbound channel, so a
+	// Send never races the close of the channel it sends on.
+	mu        sync.RWMutex
+	closeOnce sync.Once
+	closedCh  chan struct{} // closed by Close; unblocks local Send/Recv
+	closeOut  func()
 }
 
 // NewPair returns the two endpoints of an in-memory connection. Messages
@@ -63,18 +66,13 @@ func (c *chanConn) Send(m *Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	select {
+	case <-c.closedCh:
 		return ErrClosed
+	default:
 	}
-	defer func() {
-		// Sending on a channel the peer closed is impossible here:
-		// each direction is closed only by its sender. The recover
-		// guards the race where we close concurrently with Send.
-		_ = recover()
-	}()
 	select {
 	case c.send <- m:
 		return nil
@@ -110,16 +108,16 @@ func (c *chanConn) Recv() (*Message, error) {
 // beyond recording the preference.
 func (c *chanConn) SetChecksum(on bool) { c.checksum.Store(on) }
 
-// Close implements Conn.
+// Close implements Conn. Closing closedCh first releases any Send
+// blocked on a full channel, so the exclusive lock that follows waits
+// only for in-flight Sends to return.
 func (c *chanConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	close(c.closedCh)
-	c.closeOut()
+	c.closeOnce.Do(func() {
+		close(c.closedCh)
+		c.mu.Lock()
+		c.closeOut()
+		c.mu.Unlock()
+	})
 	return nil
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,6 +198,46 @@ func TestPairCloseSemantics(t *testing.T) {
 	// Close is idempotent.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPairCloseDuringSend closes an endpoint while other goroutines are
+// sending on it, as a server shutdown does while its workers still
+// deliver replies: every Send must return (nil before the close, or
+// ErrClosed), and under -race the close must not race the sends.
+func TestPairCloseDuringSend(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		a, b := NewPair(1)
+		go func() { // a reader, so some sends complete
+			for {
+				if _, err := b.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if err := a.Send(&Message{Type: MsgControl}); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		a.Close()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: Send during Close returned %v, want ErrClosed", round, err)
+			}
+		}
+		b.Close()
 	}
 }
 
