@@ -2,8 +2,7 @@
 // (see DESIGN.md §4 for the experiment index), plus ablation benches for
 // the design choices DESIGN.md calls out. Benchmarks default to the tiny
 // scale so `go test -bench=.` completes quickly; run cmd/stsl-bench with
-// -scale small|paper for full-fidelity reproductions, and EXPERIMENTS.md
-// for recorded paper-vs-measured results.
+// -scale small|paper for full-fidelity, paper-vs-measured reproductions.
 package stsl_test
 
 import (

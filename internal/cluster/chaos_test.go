@@ -40,12 +40,13 @@ func chaosDeployment(t testing.TB, clients int) *core.Deployment {
 	return dep
 }
 
-// faultFreeLoss runs the virtual-time simulation of the same deployment,
-// seed, and budget — the chaos suite's convergence reference.
-func faultFreeLoss(t testing.TB, clients, steps int) float64 {
+// faultFreeLoss runs the virtual-time simulation of a deployment at a
+// per-client budget — the chaos suite's convergence reference. Pass
+// chaosDeployment of the live run's client count so seed, shards and
+// model init match.
+func faultFreeLoss(t testing.TB, dep *core.Deployment, steps int) float64 {
 	t.Helper()
-	dep := chaosDeployment(t, clients)
-	paths := make([]*simnet.Path, clients)
+	paths := make([]*simnet.Path, len(dep.Clients))
 	for i := range paths {
 		p, err := simnet.NewSymmetricPath(simnet.Constant{D: 5 * time.Millisecond}, 0,
 			mathx.NewRNG(uint64(1000+i)))
@@ -80,7 +81,7 @@ func TestChaosConformance(t *testing.T) {
 		clients = 3
 		steps   = 20
 	)
-	reference := faultFreeLoss(t, clients, steps)
+	reference := faultFreeLoss(t, chaosDeployment(t, clients), steps)
 
 	cases := []struct {
 		name string
@@ -448,7 +449,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		clients = 2
 		steps   = 16
 	)
-	reference := faultFreeLoss(t, clients, steps)
+	reference := faultFreeLoss(t, chaosDeployment(t, clients), steps)
 
 	// The checkpoint "file" is a buffer: this test models a process
 	// restart, not a filesystem (FileCheckpointer has its own test).

@@ -206,7 +206,14 @@ func TestHostileFleetChaos(t *testing.T) {
 		nanClient  = 6
 		bombClient = 7
 	)
-	reference := faultFreeLoss(t, clients, steps)
+	// The reference trains only the honest clients' budget (clients
+	// 0–5 × steps), not the whole fleet's: the live server lands nothing
+	// from the NaN client and just the norm bomb's first 4 uploads, so a
+	// full-fleet reference would average a later loss window than the
+	// live run's by construction.
+	ref := chaosDeployment(t, clients)
+	ref.Clients = ref.Clients[:nanClient]
+	reference := faultFreeLoss(t, ref, steps)
 	dep := chaosDeployment(t, clients)
 	reg := obs.NewRegistry()
 

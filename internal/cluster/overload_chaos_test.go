@@ -30,7 +30,7 @@ func TestJoinStormAdmissionControl(t *testing.T) {
 		maxSessions = 3
 		steps       = 6
 	)
-	reference := faultFreeLoss(t, clients, steps)
+	reference := faultFreeLoss(t, chaosDeployment(t, clients), steps)
 
 	dep := chaosDeployment(t, clients)
 	srv := startServer(t, dep, Config{

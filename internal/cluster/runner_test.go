@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/stsl/stsl/internal/core"
 	"github.com/stsl/stsl/internal/data"
 	"github.com/stsl/stsl/internal/mathx"
+	"github.com/stsl/stsl/internal/obs"
 	"github.com/stsl/stsl/internal/simnet"
 	"github.com/stsl/stsl/internal/tensor"
 	"github.com/stsl/stsl/internal/transport"
@@ -39,6 +41,80 @@ func TestRunnerTransports(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQuantizedProtocolOverConns exercises quantized uplinks on the live
+// runtime: 8-bit activations must flow through the wire protocol and
+// every client's full batch budget must be trained.
+func TestQuantizedProtocolOverConns(t *testing.T) {
+	ds, err := (data.SynthCIFAR{Height: 8, Width: 8, Classes: 4}).Generate(64, 67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := data.PartitionIID(ds, 2, mathx.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := core.NewDeployment(core.Config{
+		Model: smallModel(), Cut: 1, Clients: 2, Seed: 9,
+		BatchSize: 8, LR: 0.05, QuantizeBits: 8,
+	}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3
+	res, err := Run(context.Background(), dep, RunnerConfig{
+		StepsPerClient: steps, Transport: TransportPipe, GradTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServerSteps != 2*steps {
+		t.Fatalf("server processed %d batches, want %d", res.ServerSteps, 2*steps)
+	}
+}
+
+// TestRunNoGoroutineLeak runs several tiny live clusters back to back,
+// sharing one telemetry registry Reset between runs, and checks each
+// run tears down its server, listener and clients: the goroutine count
+// afterwards returns to (about) the starting count instead of growing
+// per run.
+func TestRunNoGoroutineLeak(t *testing.T) {
+	reg := obs.NewRegistry()
+	before := runtime.NumGoroutine()
+	for _, clients := range []int{1, 2} {
+		for _, coalesce := range []int{1, 2} {
+			reg.Reset()
+			dep := buildDeployment(t, clients, "fifo")
+			res, err := Run(context.Background(), dep, RunnerConfig{
+				StepsPerClient: 3, Transport: TransportPipe,
+				Cluster: Config{BatchCoalesce: coalesce, Obs: reg},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ServerSteps != 3*clients {
+				t.Fatalf("clients=%d coalesce=%d: server processed %d batches, want %d",
+					clients, coalesce, res.ServerSteps, 3*clients)
+			}
+		}
+	}
+	// Give exiting goroutines a moment to unwind.
+	var after int
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+		if after <= before+2 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if after > before+2 {
+		buf := make([]byte, 1<<16)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("goroutines grew %d → %d across 4 back-to-back runs\n%s", before, after, buf[:n])
 	}
 }
 

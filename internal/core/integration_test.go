@@ -4,52 +4,7 @@ import (
 	"testing"
 
 	"github.com/stsl/stsl/internal/data"
-	"github.com/stsl/stsl/internal/mathx"
-	"github.com/stsl/stsl/internal/transport"
 )
-
-// TestQuantizedProtocolOverConns exercises the feature interplay of
-// quantized uplinks with the real connection-driven protocol: quantized
-// activations must flow through Serve/RunClient unchanged and training
-// must complete.
-func TestQuantizedProtocolOverConns(t *testing.T) {
-	ds := smallData(t, 64, 67)
-	shards, err := data.PartitionIID(ds, 2, mathx.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := NewDeployment(Config{
-		Model: smallModel(), Cut: 1, Clients: 2, Seed: 9,
-		BatchSize: 8, LR: 0.05, QuantizeBits: 8,
-	}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 3
-	serverEnds := make([]transport.Conn, 2)
-	clientEnds := make([]transport.Conn, 2)
-	for i := range serverEnds {
-		serverEnds[i], clientEnds[i] = transport.NewPair(2)
-	}
-	errs := make(chan error, 3)
-	for i, es := range dep.Clients {
-		i, es := i, es
-		go func() {
-			err := RunClient(es, clientEnds[i], steps, nil)
-			clientEnds[i].Close()
-			errs <- err
-		}()
-	}
-	go func() { errs <- Serve(dep.Server, serverEnds, nil) }()
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dep.Server.Steps() != 2*steps {
-		t.Fatalf("server processed %d, want %d", dep.Server.Steps(), 2*steps)
-	}
-}
 
 // TestCheckpointResume verifies a checkpoint taken mid-run resumes to the
 // same final weights as an uninterrupted run with the same schedule.

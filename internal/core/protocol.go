@@ -1,17 +1,7 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"github.com/stsl/stsl/internal/transport"
-)
-
-// Control-message notes of the session protocol. DoneNote is understood
-// by both the legacy Serve loop and the cluster runtime; the remaining
-// notes form the join/leave handshake and backpressure vocabulary of the
-// live cluster protocol (internal/cluster).
+// Control-message notes of the live cluster protocol (internal/cluster):
+// the join/leave handshake and the backpressure vocabulary.
 const (
 	// DoneNote announces a client has no more batches to contribute.
 	DoneNote = "done"
@@ -44,142 +34,3 @@ const (
 	// (the server rolled its dedup watermark back to admit the resend).
 	ExpiredNote = "expired"
 )
-
-// RunClient drives an end-system over a real connection for the given
-// number of steps: produce → send activation → await gradient → apply,
-// then a final control message announcing completion. now supplies
-// timestamps (wall or virtual); a nil now uses a monotonic wall clock.
-func RunClient(es *EndSystem, conn transport.Conn, steps int, now func() time.Duration) error {
-	if es == nil || conn == nil {
-		return fmt.Errorf("core: RunClient needs an end-system and a connection")
-	}
-	if steps <= 0 {
-		return fmt.Errorf("core: RunClient needs positive steps, got %d", steps)
-	}
-	if now == nil {
-		start := time.Now()
-		now = func() time.Duration { return time.Since(start) }
-	}
-	for i := 0; i < steps; i++ {
-		msg, err := es.ProduceBatch(now())
-		if err != nil {
-			return fmt.Errorf("core: client %d produce step %d: %w", es.ID, i, err)
-		}
-		if err := conn.Send(msg); err != nil {
-			return fmt.Errorf("core: client %d send step %d: %w", es.ID, i, err)
-		}
-		reply, err := conn.Recv()
-		if err != nil {
-			return fmt.Errorf("core: client %d recv step %d: %w", es.ID, i, err)
-		}
-		if reply.Type == transport.MsgControl {
-			return fmt.Errorf("core: client %d: server aborted: %s", es.ID, reply.Note)
-		}
-		if err := es.ApplyGradient(reply); err != nil {
-			return fmt.Errorf("core: client %d apply step %d: %w", es.ID, i, err)
-		}
-	}
-	return conn.Send(&transport.Message{
-		Type: transport.MsgControl, ClientID: es.ID, Note: DoneNote, SentAt: now(),
-	})
-}
-
-// inbound pairs a received message with the connection it arrived on.
-type inbound struct {
-	conn transport.Conn
-	msg  *transport.Message
-	err  error
-}
-
-// Serve runs the centralized server over a set of real connections until
-// every client has announced completion and the queue has drained. One
-// goroutine per connection receives; this goroutine serialises all model
-// and queue access. now supplies timestamps; nil uses a wall clock.
-func Serve(srv *Server, conns []transport.Conn, now func() time.Duration) error {
-	if srv == nil || len(conns) == 0 {
-		return fmt.Errorf("core: Serve needs a server and at least one connection")
-	}
-	if now == nil {
-		start := time.Now()
-		now = func() time.Duration { return time.Since(start) }
-	}
-	in := make(chan inbound)
-	for _, c := range conns {
-		c := c
-		go func() {
-			for {
-				msg, err := c.Recv()
-				in <- inbound{conn: c, msg: msg, err: err}
-				if err != nil {
-					return
-				}
-			}
-		}()
-	}
-	byClient := make(map[int]transport.Conn, len(conns))
-	active := len(conns)
-	// A client leaves exactly once, whether we notice via its done note
-	// or via its connection closing — most clients produce both signals,
-	// and double-counting would end the loop while slower clients still
-	// await gradients (a deadlock the chaos work's shuffled CI exposed).
-	left := make(map[transport.Conn]bool, len(conns))
-	depart := func(c transport.Conn) {
-		if !left[c] {
-			left[c] = true
-			active--
-		}
-	}
-
-	drain := func() error {
-		for {
-			reply, ok, err := srv.ProcessNext(now())
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			conn, seen := byClient[reply.ClientID]
-			if !seen {
-				return fmt.Errorf("core: no connection for client %d", reply.ClientID)
-			}
-			if err := conn.Send(reply); err != nil {
-				return fmt.Errorf("core: send gradient to client %d: %w", reply.ClientID, err)
-			}
-		}
-	}
-
-	for active > 0 {
-		rx := <-in
-		if rx.err != nil {
-			if errors.Is(rx.err, transport.ErrClosed) {
-				depart(rx.conn)
-				continue
-			}
-			return fmt.Errorf("core: server recv: %w", rx.err)
-		}
-		switch rx.msg.Type {
-		case transport.MsgActivation:
-			byClient[rx.msg.ClientID] = rx.conn
-			if err := srv.Enqueue(rx.msg, now()); err != nil {
-				return err
-			}
-			if err := drain(); err != nil {
-				return err
-			}
-		case transport.MsgControl:
-			if rx.msg.Note == DoneNote {
-				depart(rx.conn)
-				if sync, ok := srv.Queue.(interface{ Deactivate(int) }); ok {
-					sync.Deactivate(rx.msg.ClientID)
-				}
-				if err := drain(); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("core: server got unexpected %v from client %d", rx.msg.Type, rx.msg.ClientID)
-		}
-	}
-	return drain()
-}

@@ -10,8 +10,8 @@
 // the hot path. It is deliberately dependency-light (stdlib only) and
 // allocation-free on the record path: every Observe/Add is a handful of
 // atomic operations, so instrumentation can stay on even in production
-// and benchmark runs (the bench harness bounds the overhead at ≤2%
-// steps/s — see BENCH_*.json).
+// and benchmark runs (perfbench's traced runs report the overhead as
+// trace.overhead_frac).
 //
 // Everything is optional at the call sites: a nil *Counter, *Gauge,
 // *Histogram, or *Tracer is a safe no-op, so instrumented packages pay

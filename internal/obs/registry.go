@@ -156,9 +156,10 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 
 // Reset zeroes every counter, gauge, and histogram while keeping the
 // registrations (and their holders' pointers) intact. GaugeFuncs are
-// left alone — their state lives elsewhere. It is the bench harness's
-// between-cells wipe; do not call it concurrently with a run being
-// measured.
+// left alone — their state lives elsewhere. It is the wipe between
+// measurements (perfbench's window start, back-to-back runs sharing one
+// registry). Each store is atomic, but a record racing it may leave a
+// histogram's count and buckets briefly out of step.
 func (r *Registry) Reset() {
 	if r == nil {
 		return

@@ -95,10 +95,6 @@ var (
 	NewSimulation = core.NewSimulation
 	// SplitModel cuts a built CNN into client and server stacks.
 	SplitModel = core.Split
-	// RunClient drives an end-system over a real connection.
-	RunClient = core.RunClient
-	// Serve runs the server over real connections.
-	Serve = core.Serve
 )
 
 // Model types.
